@@ -1,6 +1,8 @@
 #include "frontend/sql_parser.h"
 
 #include <cctype>
+#include <cmath>
+#include <limits>
 #include <map>
 
 #include "common/string_util.h"
@@ -405,6 +407,9 @@ Result<ExprPtr> SqlParser::ParseComparison() {
       }
       if (!AcceptOp(",")) break;
     }
+    if (values.empty()) {
+      return ErrorHere("IN list expects at least one literal");
+    }
     RAVEN_RETURN_IF_ERROR(ExpectOp(")"));
     return ExprPtr(std::make_unique<relational::InExpr>(std::move(lhs),
                                                         std::move(values)));
@@ -781,8 +786,18 @@ Result<IrNodePtr> SqlParser::ParseSelect() {
     if (Peek().kind != TokKind::kNumber) {
       return ErrorHere("LIMIT expects a number");
     }
-    source = IrNode::Limit(std::move(source),
-                           static_cast<std::int64_t>(Advance().number));
+    const double number = Peek().number;
+    if (!(number >= 0.0) || std::floor(number) != number) {
+      return ErrorHere("LIMIT expects a non-negative integer");
+    }
+    // 2^63 and up do not fit an int64 (the cast would be undefined); like
+    // SQLite, saturate — such a LIMIT keeps every row.
+    constexpr double kTwoTo63 = 9223372036854775808.0;
+    const std::int64_t limit =
+        number >= kTwoTo63 ? std::numeric_limits<std::int64_t>::max()
+                           : static_cast<std::int64_t>(number);
+    ++pos_;
+    source = IrNode::Limit(std::move(source), limit);
   }
   if (aggregated || star || sorted) return source;
   return project_items(std::move(source));

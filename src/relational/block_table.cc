@@ -1,36 +1,8 @@
 #include "relational/block_table.h"
 
 #include <algorithm>
-#include <cmath>
 
 namespace raven::relational {
-
-bool BlockMayMatch(const ColumnStats& stats, const SimplePredicate& pred) {
-  // Non-finite rows are invisible to the finite min/max range, so no range
-  // argument over it can exclude them (the NaN regression: a block of
-  // {1, 2, NaN} must survive `col >= 100` because downstream semantics —
-  // e.g. `<>` predicates or later pipeline stages — may keep NaN rows).
-  if (stats.has_non_finite) return true;
-  if (!stats.has_finite()) return true;  // empty/unknown: never skip
-  if (!std::isfinite(pred.constant)) return true;
-  switch (pred.op) {
-    case CompareOp::kEq:
-      return pred.constant >= stats.min && pred.constant <= stats.max;
-    case CompareOp::kNe:
-      // Skippable only when the whole block is one finite value equal to
-      // the constant.
-      return !(stats.constant.has_value() && *stats.constant == pred.constant);
-    case CompareOp::kLt:
-      return stats.min < pred.constant;
-    case CompareOp::kLe:
-      return stats.min <= pred.constant;
-    case CompareOp::kGt:
-      return stats.max > pred.constant;
-    case CompareOp::kGe:
-      return stats.max >= pred.constant;
-  }
-  return true;
-}
 
 bool BlockMayMatch(const BlockTable& table, std::int64_t block,
                    const std::vector<SimplePredicate>& preds) {

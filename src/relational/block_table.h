@@ -15,6 +15,7 @@
 #include "relational/operators.h"
 #include "relational/statistics.h"
 #include "relational/table.h"
+#include "relational/zone_map.h"
 
 namespace raven::relational {
 
@@ -69,15 +70,9 @@ class BlockTable {
   virtual std::string Describe() const = 0;
 };
 
-/// True when `block`'s zone map cannot rule out rows matching `pred`.
-/// Deliberately conservative: only range/equality shapes consult min/max, a
-/// block containing any non-finite value is NEVER skipped (NaN fails every
-/// range comparison, so finite min/max says nothing about NaN rows under
-/// `<>` or downstream re-evaluation), and an unknown column or stats entry
-/// always matches. Skipping is an optimization only — the filter above the
-/// scan still evaluates — so the single correctness obligation is to never
-/// skip a block holding a matching row.
-bool BlockMayMatch(const ColumnStats& stats, const SimplePredicate& pred);
+/// True when `block`'s zone maps cannot rule out a row matching every
+/// conjunct of `preds` (BlockMayMatch per conjunct; an unknown column or
+/// stats entry never justifies a skip).
 bool BlockMayMatch(const BlockTable& table, std::int64_t block,
                    const std::vector<SimplePredicate>& preds);
 

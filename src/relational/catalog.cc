@@ -9,7 +9,8 @@ Status Catalog::RegisterTable(const std::string& name, Table table) {
   if (tables_.count(name) > 0 || disk_tables_.count(name) > 0) {
     return Status::AlreadyExists("table '" + name + "' already registered");
   }
-  tables_.emplace(name, std::move(table));
+  auto it = tables_.emplace(name, std::move(table)).first;
+  zone_maps_.emplace(name, std::make_unique<TableZoneMaps>(it->second));
   BumpVersion();
   return Status::OK();
 }
@@ -21,6 +22,12 @@ Result<const Table*> Catalog::GetTable(const std::string& name) const {
     return Status::NotFound("table '" + name + "' not found");
   }
   return &it->second;
+}
+
+const TableZoneMaps* Catalog::GetZoneMaps(const std::string& name) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = zone_maps_.find(name);
+  return it == zone_maps_.end() ? nullptr : it->second.get();
 }
 
 bool Catalog::HasTable(const std::string& name) const {

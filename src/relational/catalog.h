@@ -13,6 +13,7 @@
 
 #include "common/status.h"
 #include "relational/table.h"
+#include "relational/zone_map.h"
 
 namespace raven::relational {
 
@@ -40,6 +41,10 @@ class Catalog {
   Result<const Table*> GetTable(const std::string& name) const;
   bool HasTable(const std::string& name) const;
   std::vector<std::string> TableNames() const;
+  /// Per-block zone maps of an in-memory table, or nullptr when `name` is
+  /// not one. The maps build lazily per column on the caller's thread (see
+  /// TableZoneMaps), never under this catalog's mutex.
+  const TableZoneMaps* GetZoneMaps(const std::string& name) const;
 
   // -- On-disk tables -------------------------------------------------------
   // Block-based (.rvc) tables registered alongside in-memory ones. The two
@@ -100,6 +105,8 @@ class Catalog {
   std::atomic<std::int64_t> version_{1};
   mutable std::mutex mu_;
   std::map<std::string, Table> tables_;
+  /// One entry per tables_ entry, bound to it (map nodes never move).
+  std::map<std::string, std::unique_ptr<const TableZoneMaps>> zone_maps_;
   std::map<std::string, std::shared_ptr<const BlockTable>> disk_tables_;
   std::map<std::string, StoredModel> models_;
   std::vector<std::string> audit_log_;

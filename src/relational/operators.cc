@@ -75,22 +75,38 @@ void ScanOperator::EmitRows(std::int64_t begin, std::int64_t n,
   }
 }
 
+bool ScanOperator::MayMatch(std::int64_t begin, std::int64_t end) {
+  if (zone_filter_.empty()) return true;
+  const bool may_match = zone_filter_.RangeMayMatch(begin, end);
+  std::atomic<std::int64_t>* counter =
+      may_match ? blocks_scanned_ : blocks_skipped_;
+  if (counter != nullptr) counter->fetch_add(1, std::memory_order_relaxed);
+  return may_match;
+}
+
 Result<bool> ScanOperator::Next(DataChunk* out) {
   if (morsels_ != nullptr) {
     Morsel m;
-    if (!morsels_->Pop(&m)) return false;
-    EmitRows(m.begin, m.end - m.begin, out);
+    while (morsels_->Pop(&m)) {
+      if (!MayMatch(m.begin, m.end)) continue;
+      EmitRows(m.begin, m.end - m.begin, out);
+      out->order_source = order_source_;
+      out->order_morsel = m.index;
+      return true;
+    }
+    return false;
+  }
+  while (cursor_ < end_) {
+    const std::int64_t begin = cursor_;
+    const std::int64_t n = std::min(kChunkSize, end_ - begin);
+    cursor_ += n;
+    if (!MayMatch(begin, begin + n)) continue;
+    EmitRows(begin, n, out);
     out->order_source = order_source_;
-    out->order_morsel = m.index;
+    out->order_morsel = (begin - begin_) / kChunkSize;
     return true;
   }
-  if (cursor_ >= end_) return false;
-  const std::int64_t n = std::min(kChunkSize, end_ - cursor_);
-  EmitRows(cursor_, n, out);
-  out->order_source = order_source_;
-  out->order_morsel = (cursor_ - begin_) / kChunkSize;
-  cursor_ += n;
-  return true;
+  return false;
 }
 
 Result<std::vector<std::string>> ScanOperator::OutputColumns() const {
@@ -402,7 +418,7 @@ Result<bool> LimitOperator::Next(DataChunk* out) {
   // right tail.
   out->FlattenSel();
   const std::int64_t n = out->num_rows();
-  if (emitted_ + n > limit_) {
+  if (n > limit_ - emitted_) {  // emitted_ <= limit_: cannot overflow
     const std::int64_t keep = limit_ - emitted_;
     for (auto& col : out->cols) col.resize(static_cast<std::size_t>(keep));
   }

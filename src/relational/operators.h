@@ -19,6 +19,7 @@
 #include "relational/expression.h"
 #include "relational/kernel.h"
 #include "relational/table.h"
+#include "relational/zone_map.h"
 #include "tensor/tensor.h"
 
 namespace raven::relational {
@@ -54,8 +55,11 @@ class PhysicalOperator {
 using OperatorPtr = std::unique_ptr<PhysicalOperator>;
 
 /// Scan over an in-memory table: either a fixed row range (sequential and
-/// legacy range-partitioned modes) or morsel-driven, pulling kChunkSize-row
-/// morsels from a MorselQueue shared with sibling workers.
+/// legacy range-partitioned modes) or morsel-driven, pulling morsels from a
+/// MorselQueue shared with sibling workers. With a zone filter attached,
+/// every chunk or morsel whose overlapping kChunkSize blocks the table's
+/// zone maps rule out is skipped without being copied — the same rule, and
+/// the same block counters, as DiskScanOperator.
 class ScanOperator final : public PhysicalOperator {
  public:
   /// Scans rows [begin, end) of `table` (end < 0 means all rows). The table
@@ -69,12 +73,25 @@ class ScanOperator final : public PhysicalOperator {
   ScanOperator(const Table* table, std::shared_ptr<MorselQueue> morsels,
                std::int64_t order_source);
 
+  /// Zone-map inputs, set before Open. Counters may be null; they count
+  /// one per chunk or morsel the filter tested (a block at the default
+  /// morsel size), and are atomics so workers sharing them count each
+  /// morsel once.
+  void SetZoneFilter(ZoneFilter filter) { zone_filter_ = std::move(filter); }
+  void SetBlockCounters(std::atomic<std::int64_t>* scanned,
+                        std::atomic<std::int64_t>* skipped) {
+    blocks_scanned_ = scanned;
+    blocks_skipped_ = skipped;
+  }
+
   Status Open() override;
   Result<bool> Next(DataChunk* out) override;
   std::string Name() const override { return "Scan"; }
   Result<std::vector<std::string>> OutputColumns() const override;
 
  private:
+  /// Zone-map test of rows [begin, end), counted when a filter is set.
+  bool MayMatch(std::int64_t begin, std::int64_t end);
   void EmitRows(std::int64_t begin, std::int64_t n, DataChunk* out) const;
 
   const Table* table_;
@@ -83,6 +100,9 @@ class ScanOperator final : public PhysicalOperator {
   std::int64_t cursor_ = 0;
   std::shared_ptr<MorselQueue> morsels_;  // nullptr in range mode
   std::int64_t order_source_ = 0;
+  ZoneFilter zone_filter_;
+  std::atomic<std::int64_t>* blocks_scanned_ = nullptr;
+  std::atomic<std::int64_t>* blocks_skipped_ = nullptr;
 };
 
 /// Filters rows by a boolean expression. The predicate is compiled to a

@@ -1,5 +1,6 @@
 #include "relational/statistics.h"
 
+#include <algorithm>
 #include <cmath>
 #include <set>
 
@@ -25,41 +26,49 @@ struct NanSafeLess {
 }  // namespace
 
 ColumnStats ComputeColumnStats(const Column& column) {
-  ColumnStats stats;
-  stats.num_rows = column.size();
-  if (column.data.empty()) return stats;
-  bool saw_finite = false;
+  // The zone summary's `constant` (min == max, all finite) is exactly "one
+  // distinct finite value": a constant column must be constant at a finite
+  // value, since downstream predicate derivation turns `constant` into
+  // `col = c`, and `col = NaN` is false for the very rows it describes.
+  ColumnStats stats = ComputeZoneStats(column.data.data(), column.size());
+  stats.distinct_exact = true;
   std::set<double, NanSafeLess> distinct;
   for (double v : column.data) {
+    distinct.insert(v);
+    if (static_cast<std::int64_t>(distinct.size()) > kDistinctCap) {
+      stats.distinct_exact = false;
+      break;
+    }
+  }
+  stats.distinct = stats.distinct_exact
+                       ? static_cast<std::int64_t>(distinct.size())
+                       : kDistinctCap + 1;
+  return stats;
+}
+
+ColumnStats ComputeZoneStats(const double* data, std::int64_t n) {
+  ColumnStats stats;
+  stats.num_rows = n;
+  stats.distinct_exact = false;
+  bool saw_finite = false;
+  for (std::int64_t i = 0; i < n; ++i) {
+    const double v = data[i];
     if (std::isfinite(v)) {
       if (!saw_finite) {
         stats.min = v;
         stats.max = v;
         saw_finite = true;
       } else {
-        if (v < stats.min) stats.min = v;
-        if (v > stats.max) stats.max = v;
+        stats.min = std::min(stats.min, v);
+        stats.max = std::max(stats.max, v);
       }
     } else {
-      stats.has_non_finite = true;
       ++stats.non_finite_count;
       if (std::isnan(v)) ++stats.nan_count;
     }
-    if (stats.distinct_exact) {
-      distinct.insert(v);
-      if (static_cast<std::int64_t>(distinct.size()) > kDistinctCap) {
-        stats.distinct_exact = false;
-        distinct.clear();
-      }
-    }
   }
-  stats.distinct = stats.distinct_exact
-                       ? static_cast<std::int64_t>(distinct.size())
-                       : kDistinctCap + 1;
-  // A constant column must be constant at a finite value: downstream
-  // predicate derivation turns `constant` into `col = c`, and `col = NaN`
-  // is false for the very rows it is meant to describe.
-  if (stats.distinct_exact && stats.distinct == 1 && !stats.has_non_finite) {
+  stats.has_non_finite = stats.non_finite_count > 0;
+  if (saw_finite && !stats.has_non_finite && stats.min == stats.max) {
     stats.constant = stats.min;
   }
   return stats;

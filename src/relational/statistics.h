@@ -48,8 +48,16 @@ struct ColumnStats {
   bool has_finite() const { return num_rows > non_finite_count; }
 };
 
-/// Computes stats for one column (single pass).
+/// Computes stats for one column: its ComputeZoneStats summary plus the
+/// distinct count, exact up to a small cap.
 ColumnStats ComputeColumnStats(const Column& column);
+
+/// Zone map of `n` values: the finite min/max and the non-finite (and NaN)
+/// counts only — no distinct-value set, so it costs one branch-light pass
+/// and can be built per block on demand. `constant` is still exact: the
+/// values are one finite number iff min == max and none is non-finite.
+/// `distinct` is left unknown (0, inexact).
+ColumnStats ComputeZoneStats(const double* data, std::int64_t n);
 
 /// Computes stats for every column of a table.
 std::map<std::string, ColumnStats> ComputeTableStats(const Table& table);

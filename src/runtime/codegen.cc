@@ -204,7 +204,47 @@ Result<BatchScorer> ScorerFor(const IrNode& node, const RuntimeContext& ctx) {
   }
 }
 
+void CollectScanPredicatesNode(const IrNode& node,
+                               std::vector<relational::SimplePredicate> run,
+                               ScanPredicates* out) {
+  if (node.kind == IrOpKind::kTableScan) {
+    if (!run.empty()) (*out)[&node] = std::move(run);
+    return;
+  }
+  if (node.kind == IrOpKind::kFilter && node.predicate != nullptr) {
+    // Only `col <op> const` conjuncts: the shape a zone map can reason
+    // about. Everything else simply isn't pushed down.
+    for (const relational::Expr* conjunct :
+         relational::ExtractConjuncts(*node.predicate)) {
+      auto simple = relational::MatchSimplePredicate(*conjunct);
+      if (simple.has_value()) run.push_back(*simple);
+    }
+    CollectScanPredicatesNode(*node.children[0], std::move(run), out);
+    return;
+  }
+  // Any other operator may rename or compute the columns a filter above it
+  // references, so the run ends here.
+  for (const auto& child : node.children) {
+    CollectScanPredicatesNode(*child, {}, out);
+  }
+}
+
 }  // namespace
+
+ScanPredicates CollectScanPredicates(const IrNode& root) {
+  ScanPredicates out;
+  CollectScanPredicatesNode(root, {}, &out);
+  return out;
+}
+
+const std::vector<relational::SimplePredicate>* PushedPredicates(
+    const IrNode& node, const RuntimeContext& ctx) {
+  if (!ctx.options.zone_map_skipping || ctx.scan_predicates == nullptr) {
+    return nullptr;
+  }
+  auto it = ctx.scan_predicates->find(&node);
+  return it == ctx.scan_predicates->end() ? nullptr : &it->second;
+}
 
 const char* ExecutionModeToString(ExecutionMode mode) {
   switch (mode) {
@@ -235,8 +275,9 @@ OperatorPtr Instrument(OperatorPtr op, const IrNode& node,
 
 /// Morsel scan over `table` if the parallel state registered this node as a
 /// pipeline source; plain full scan otherwise.
-OperatorPtr MakeScan(const relational::Table* table, const IrNode& node,
-                     const RuntimeContext& ctx) {
+std::unique_ptr<relational::ScanOperator> MakeScan(
+    const relational::Table* table, const IrNode& node,
+    const RuntimeContext& ctx) {
   if (ctx.parallel != nullptr) {
     auto it = ctx.parallel->scan_queues.find(&node);
     if (it != ctx.parallel->scan_queues.end()) {
@@ -258,24 +299,13 @@ std::shared_ptr<const relational::BlockTable> DiskTableFor(
   return table.ok() ? *table : nullptr;
 }
 
-/// Conjuncts of `pred` with the `col <op> const` shape — the only shape a
-/// zone map can reason about. Everything else simply isn't pushed down.
-std::vector<relational::SimplePredicate> ZoneConjuncts(
-    const relational::Expr& pred) {
-  std::vector<relational::SimplePredicate> out;
-  for (const relational::Expr* conjunct : relational::ExtractConjuncts(pred)) {
-    auto simple = relational::MatchSimplePredicate(*conjunct);
-    if (simple.has_value()) out.push_back(*simple);
-  }
-  return out;
-}
-
 /// On-disk twin of MakeScan: block-aligned morsel scan when the parallel
 /// state registered this node, full block scan otherwise; zone-map
-/// predicates and the shared block counters attach when enabled.
-OperatorPtr MakeDiskScan(std::shared_ptr<const relational::BlockTable> table,
-                         const IrNode& node, const RuntimeContext& ctx,
-                         std::vector<relational::SimplePredicate> preds) {
+/// predicates (when any) and the shared block counters attach.
+OperatorPtr MakeDiskScan(
+    std::shared_ptr<const relational::BlockTable> table, const IrNode& node,
+    const RuntimeContext& ctx,
+    const std::vector<relational::SimplePredicate>* preds) {
   std::unique_ptr<relational::DiskScanOperator> scan;
   if (ctx.parallel != nullptr) {
     auto it = ctx.parallel->scan_queues.find(&node);
@@ -287,14 +317,38 @@ OperatorPtr MakeDiskScan(std::shared_ptr<const relational::BlockTable> table,
   if (scan == nullptr) {
     scan = std::make_unique<relational::DiskScanOperator>(std::move(table));
   }
-  if (ctx.options.zone_map_skipping && !preds.empty()) {
-    scan->SetZonePredicates(std::move(preds));
-  }
+  if (preds != nullptr) scan->SetZonePredicates(*preds);
   if (ctx.stats != nullptr) {
     scan->SetBlockCounters(&ctx.stats->blocks_scanned,
                            &ctx.stats->blocks_skipped);
   }
   return scan;
+}
+
+/// Scan of base table `node`, memory or disk, with its pushed-down
+/// conjuncts attached.
+Result<OperatorPtr> BuildTableScan(const IrNode& node,
+                                   const RuntimeContext& ctx) {
+  const std::vector<relational::SimplePredicate>* preds =
+      PushedPredicates(node, ctx);
+  if (auto disk = DiskTableFor(node, ctx); disk != nullptr) {
+    return Instrument(MakeDiskScan(std::move(disk), node, ctx, preds), node,
+                      "DiskScan(" + node.table_name + ")", ctx);
+  }
+  RAVEN_ASSIGN_OR_RETURN(const relational::Table* table,
+                         ctx.catalog->GetTable(node.table_name));
+  auto scan = MakeScan(table, node, ctx);
+  if (preds != nullptr) {
+    const relational::TableZoneMaps* zones =
+        ctx.catalog->GetZoneMaps(node.table_name);
+    if (zones != nullptr) scan->SetZoneFilter(zones->Bind(*preds));
+    if (ctx.stats != nullptr) {
+      scan->SetBlockCounters(&ctx.stats->blocks_scanned,
+                             &ctx.stats->blocks_skipped);
+    }
+  }
+  return Instrument(std::move(scan), node, "Scan(" + node.table_name + ")",
+                    ctx);
 }
 
 /// Maximal run of fusable single-child operators headed at `node`, in plan
@@ -346,26 +400,8 @@ std::string FusedChainLabel(const std::vector<const IrNode*>& chain) {
 Result<OperatorPtr> BuildFusedChain(const IrNode& head,
                                     const std::vector<const IrNode*>& chain,
                                     const RuntimeContext& ctx) {
-  const IrNode& below = *chain.back()->children[0];
-  OperatorPtr child;
-  if (auto disk = DiskTableFor(below, ctx); disk != nullptr) {
-    // The contiguous run of filters at the BOTTOM of the chain evaluates
-    // directly over scan output, so its conjuncts are sound zone-map
-    // inputs. Filters higher up may reference computed/renamed columns
-    // that shadow scan columns — those never push down.
-    std::vector<relational::SimplePredicate> preds;
-    for (std::size_t i = chain.size(); i-- > 0;) {
-      if (chain[i]->kind != IrOpKind::kFilter) break;
-      std::vector<relational::SimplePredicate> conjuncts =
-          ZoneConjuncts(*chain[i]->predicate);
-      preds.insert(preds.end(), conjuncts.begin(), conjuncts.end());
-    }
-    child = Instrument(MakeDiskScan(std::move(disk), below, ctx,
-                                    std::move(preds)),
-                       below, "DiskScan(" + below.table_name + ")", ctx);
-  } else {
-    RAVEN_ASSIGN_OR_RETURN(child, BuildPhysicalPlan(below, ctx));
-  }
+  RAVEN_ASSIGN_OR_RETURN(OperatorPtr child,
+                         BuildPhysicalPlan(*chain.back()->children[0], ctx));
   std::vector<relational::FusedStage> stages;
   stages.reserve(chain.size());
   for (std::size_t i = chain.size(); i-- > 0;) {
@@ -452,6 +488,14 @@ std::vector<relational::SortSpec> ToSortSpecs(
 
 Result<OperatorPtr> BuildPhysicalPlan(const IrNode& node,
                                       const RuntimeContext& ctx) {
+  if (ctx.scan_predicates == nullptr) {
+    // Entered without the per-execution walk (distributed fragments and
+    // remainders build their own subtrees): walk this one now.
+    const ScanPredicates preds = CollectScanPredicates(node);
+    RuntimeContext walked = ctx;
+    walked.scan_predicates = &preds;
+    return BuildPhysicalPlan(node, walked);
+  }
   // Subtrees executed by an earlier pipeline (aggregate results) enter the
   // current pipeline as scans of their materialized table.
   if (ctx.parallel != nullptr) {
@@ -472,31 +516,9 @@ Result<OperatorPtr> BuildPhysicalPlan(const IrNode& node,
     if (chain.size() >= 2) return BuildFusedChain(node, chain, ctx);
   }
   switch (node.kind) {
-    case IrOpKind::kTableScan: {
-      if (auto disk = DiskTableFor(node, ctx); disk != nullptr) {
-        return Instrument(MakeDiskScan(std::move(disk), node, ctx, {}), node,
-                          "DiskScan(" + node.table_name + ")", ctx);
-      }
-      RAVEN_ASSIGN_OR_RETURN(const relational::Table* table,
-                             ctx.catalog->GetTable(node.table_name));
-      return Instrument(MakeScan(table, node, ctx), node,
-                        "Scan(" + node.table_name + ")", ctx);
-    }
+    case IrOpKind::kTableScan:
+      return BuildTableScan(node, ctx);
     case IrOpKind::kFilter: {
-      const IrNode& below = *node.children[0];
-      if (auto disk = DiskTableFor(below, ctx); disk != nullptr) {
-        // Filter directly over a disk scan (too short a run to fuse):
-        // push its range conjuncts down as zone-map inputs. The filter
-        // still evaluates every surviving block, so pushdown is an I/O
-        // optimization, never a semantic change.
-        auto scan = Instrument(
-            MakeDiskScan(std::move(disk), below, ctx,
-                         ZoneConjuncts(*node.predicate)),
-            below, "DiskScan(" + below.table_name + ")", ctx);
-        return Instrument(std::make_unique<relational::FilterOperator>(
-                              std::move(scan), node.predicate->Clone()),
-                          node, "Filter", ctx);
-      }
       RAVEN_ASSIGN_OR_RETURN(auto child,
                              BuildPhysicalPlan(*node.children[0], ctx));
       return Instrument(std::make_unique<relational::FilterOperator>(
@@ -863,49 +885,37 @@ const char* CompareOpSql(relational::CompareOp op) {
   return "?";
 }
 
-/// Mirrors the pushdown BuildPhysicalPlan performs: conjuncts from the
-/// contiguous run of filters directly above a disk scan. `preds` carries
-/// that run's conjuncts down; every other operator kind resets it.
-void DescribeStorageScansNode(const IrNode& node,
-                              const relational::Catalog& catalog,
-                              std::vector<relational::SimplePredicate> preds,
-                              std::ostringstream* os) {
-  if (node.kind == IrOpKind::kTableScan) {
-    auto disk = catalog.GetDiskTable(node.table_name);
-    if (!disk.ok()) return;
-    *os << "DiskScan(" << node.table_name << "): " << (*disk)->Describe()
-        << "\n";
-    if (!preds.empty()) {
-      *os << "  zone-map conjuncts:";
-      for (const auto& p : preds) {
-        std::ostringstream constant;
-        constant << p.constant;
-        *os << " " << p.column << " " << CompareOpSql(p.op) << " "
-            << constant.str() << ";";
-      }
-      *os << "\n";
-    }
-    return;
-  }
-  if (node.kind == IrOpKind::kFilter && node.predicate != nullptr) {
-    std::vector<relational::SimplePredicate> conjuncts =
-        ZoneConjuncts(*node.predicate);
-    preds.insert(preds.end(), conjuncts.begin(), conjuncts.end());
-    DescribeStorageScansNode(*node.children[0], catalog, std::move(preds),
-                             os);
-    return;
-  }
-  for (const auto& child : node.children) {
-    DescribeStorageScansNode(*child, catalog, {}, os);
-  }
-}
-
 }  // namespace
 
 std::string DescribeStorageScans(const IrNode& node,
                                  const relational::Catalog& catalog) {
+  const ScanPredicates pushed = CollectScanPredicates(node);
   std::ostringstream os;
-  DescribeStorageScansNode(node, catalog, {}, &os);
+  ir::VisitIr(&node, [&](const IrNode* scan) {
+    if (scan->kind != IrOpKind::kTableScan) return;
+    auto it = pushed.find(scan);
+    auto shape = catalog.TableShape(scan->table_name);
+    if (auto disk = catalog.GetDiskTable(scan->table_name); disk.ok()) {
+      os << "DiskScan(" << scan->table_name << "): " << (*disk)->Describe()
+         << "\n";
+    } else if (it != pushed.end() && shape.ok()) {
+      // In-memory scans appear only when they have conjuncts to skip on.
+      os << "Scan(" << scan->table_name << "): in-memory, " << shape->first
+         << " rows, zone maps per " << relational::kChunkSize
+         << "-row block\n";
+    } else {
+      return;
+    }
+    if (it == pushed.end()) return;
+    os << "  zone-map conjuncts:";
+    for (const auto& p : it->second) {
+      std::ostringstream constant;
+      constant << p.constant;
+      os << " " << p.column << " " << CompareOpSql(p.op) << " "
+         << constant.str() << ";";
+    }
+    os << "\n";
+  });
   return os.str();
 }
 

@@ -37,10 +37,14 @@ const char* ExecutionModeToString(ExecutionMode mode);
 /// Execution configuration for one query.
 struct ExecutionOptions {
   ExecutionMode mode = ExecutionMode::kInProcess;
-  /// Number of morsel-parallel workers; >1 enables the engine's automatic
-  /// parallelization (paper §5 observation iii) for every in-process plan
-  /// shape — scans, joins, aggregates, unions, PREDICT. Plans containing a
-  /// LIMIT, and the out-of-process/container modes, run sequentially.
+  /// Upper bound on morsel-parallel workers; >1 enables the engine's
+  /// automatic parallelization (paper §5 observation iii) for every
+  /// in-process plan shape — scans, joins, aggregates, unions, PREDICT.
+  /// The executor runs min(parallelism, morsels left after zone-map
+  /// skipping across the plan's base-table scans) workers, and runs
+  /// sequentially when that is 1 (a point lookup). Plans containing a
+  /// LIMIT, and the out-of-process/container modes, run sequentially;
+  /// distributed mode sizes by `distributed_workers` instead.
   std::int64_t parallelism = 1;
   /// Rows per scan morsel (0 = kChunkSize). Smaller morsels balance skew
   /// better, larger ones amortize scheduling; tests shrink this to force
@@ -82,11 +86,13 @@ struct ExecutionOptions {
   /// Set by the query server (one batcher across all sessions); direct API
   /// runs leave it null and never coalesce.
   std::shared_ptr<InferenceBatcher> predict_batcher;
-  /// On-disk (.rvc) scans: consult per-block zone maps against pushed-down
-  /// filter conjuncts and skip blocks that cannot match (`SET
-  /// zone_map_skipping`). Purely an I/O optimization — the filter above the
-  /// scan still evaluates — so disabling it changes block counters, never
-  /// results.
+  /// Scans of in-memory and on-disk (.rvc) tables alike: test per-block
+  /// zone maps against the pushed-down filter conjuncts and skip blocks
+  /// (in-memory: chunks or morsels) that cannot match (`SET
+  /// zone_map_skipping`). Also sizes the dop, which counts only the morsels
+  /// left after skipping. Purely a work optimization — the filter above the
+  /// scan still evaluates — so disabling it changes block counters and
+  /// dop, never results.
   bool zone_map_skipping = true;
   /// Optional per-query trace arena (obs/trace.h). Non-null enables span
   /// recording at phase/exchange/operator boundaries — never per row, so
@@ -118,8 +124,9 @@ struct ExecutionStats {
   double nn_wall_micros = 0.0;
   /// Device-model time for accelerator sessions (== wall time on CPU).
   double nn_simulated_micros = 0.0;
-  /// Morsel-parallel workers the plan actually executed with (1 when the
-  /// plan ran sequentially); pool workers in a distributed run.
+  /// Morsel-parallel workers the plan actually executed with — the dop the
+  /// executor chose from post-skip work, 1 when the plan ran sequentially;
+  /// pool workers in a distributed run.
   std::int64_t partitions_used = 1;
   /// Scan morsels dispensed across all pipelines (0 in sequential runs).
   std::int64_t morsels = 0;
@@ -141,9 +148,12 @@ struct ExecutionStats {
   /// Filter/project/PREDICT chains the code generator collapsed into single
   /// fused operators (counted once per chain, not per worker clone).
   std::int64_t fused_chains = 0;
-  /// On-disk scans: blocks decoded, and blocks skipped because their zone
-  /// map proved no row could match the pushed-down predicates. Each block
-  /// counts once per query regardless of worker count.
+  /// Zone-mapped scans: blocks decoded, and blocks skipped because their
+  /// zone map proved no row could match the pushed-down predicates. Disk
+  /// scans count every block; in-memory scans count only when they have
+  /// pushed-down conjuncts, one per chunk or morsel tested (a kChunkSize
+  /// block at the default morsel size). Each counts once per query
+  /// regardless of worker count.
   std::int64_t blocks_scanned = 0;
   std::int64_t blocks_skipped = 0;
   /// Per-operator counters in plan-build order.
@@ -177,9 +187,10 @@ class StatsCollector {
   /// Bumped by BuildPhysicalPlan once per fused chain (worker 0 only, so N
   /// worker clones of the same plan don't count a chain N times).
   std::atomic<std::int64_t> fused_chains{0};
-  /// Bumped by DiskScanOperator as it decodes/skips blocks. The morsel
-  /// queue hands each block to exactly one worker, so sharing the atomics
-  /// across worker clones still counts each block once.
+  /// Bumped by DiskScanOperator and zone-filtered ScanOperators as they
+  /// scan/skip blocks. The morsel queue hands each morsel to exactly one
+  /// worker, so sharing the atomics across worker clones still counts each
+  /// once.
   std::atomic<std::int64_t> blocks_scanned{0};
   std::atomic<std::int64_t> blocks_skipped{0};
 
@@ -233,6 +244,20 @@ struct ParallelExecState {
   std::unordered_map<const ir::IrNode*, const relational::Table*> materialized;
 };
 
+/// Zone-map conjuncts pushed down to each base-table scan node: the
+/// `col <op> const` conjuncts of the contiguous run of filters directly
+/// above it — the only filters that evaluate over the scan's own columns
+/// (any other operator may rename or compute what a filter above it
+/// references). Scans with no such conjunct have no entry.
+using ScanPredicates =
+    std::unordered_map<const ir::IrNode*,
+                       std::vector<relational::SimplePredicate>>;
+
+/// The one pushdown walk. Runs once per execution; memory scans, disk
+/// scans, the executor's dop choice and EXPLAIN's storage section all read
+/// its result.
+ScanPredicates CollectScanPredicates(const ir::IrNode& root);
+
 /// Shared state for building physical plans.
 struct RuntimeContext {
   const relational::Catalog* catalog = nullptr;
@@ -244,7 +269,16 @@ struct RuntimeContext {
   const ParallelExecState* parallel = nullptr;
   /// Which worker's tree is being built (feeds JoinBuildState::Append).
   std::int64_t worker_id = 0;
+  /// CollectScanPredicates of the plan being built; BuildPhysicalPlan walks
+  /// the subtree it is given when this is null.
+  const ScanPredicates* scan_predicates = nullptr;
 };
+
+/// Zone-map conjuncts pushed down to base-table scan `node` (from
+/// ctx.scan_predicates), or nullptr when it has none or
+/// `zone_map_skipping` is off.
+const std::vector<relational::SimplePredicate>* PushedPredicates(
+    const ir::IrNode& node, const RuntimeContext& ctx);
 
 /// Lowers IR aggregate items to the relational operator's specs (shared by
 /// the code generator and the parallel executor's aggregate pipelines).
@@ -284,11 +318,12 @@ std::string DescribeFusedChains(const ir::IrNode& node);
 /// "Predict(los) -> score [NNRT graph]"). Empty when the plan has none.
 std::string DescribeBatchablePredicts(const ir::IrNode& node);
 
-/// Describes every on-disk (.rvc) scan in the plan, one per line: the
-/// block layout plus the filter conjuncts the scan will test against
+/// Describes every on-disk (.rvc) scan in the plan, and every in-memory
+/// scan with pushed-down conjuncts, one per line: the block layout plus the
+/// filter conjuncts (CollectScanPredicates) the scan will test against
 /// per-block zone maps (e.g. "DiskScan(patients): ... zone-map conjuncts:
-/// age >= 30"). Empty when the plan scans no disk tables. Used by the
-/// EXPLAIN storage section.
+/// age >= 30"). Empty when no scan qualifies. Used by the EXPLAIN storage
+/// section.
 std::string DescribeStorageScans(const ir::IrNode& node,
                                  const relational::Catalog& catalog);
 

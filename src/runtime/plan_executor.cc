@@ -13,6 +13,7 @@
 #include "obs/trace.h"
 #include "relational/block_table.h"
 #include "relational/operators.h"
+#include "relational/zone_map.h"
 #include "runtime/worker_pool.h"
 
 namespace raven::runtime {
@@ -30,6 +31,50 @@ bool PlanContains(const IrNode* root, IrOpKind kind) {
     if (node->kind == kind) found = true;
   });
   return found;
+}
+
+/// Scan morsels left after zone-map skipping, summed over the base-table
+/// scans of the plan `ctx` walked — the work a morsel-parallel run could
+/// spread over workers — capped at `cap`, past which the dop choice cannot
+/// change (counting stops there). Disk scans hand out one block per
+/// morsel, in-memory scans `morsel_rows`-row morsels tested as
+/// ScanOperator tests them.
+std::int64_t MorselsLeft(const IrNode& root, const RuntimeContext& ctx,
+                         std::int64_t cap) {
+  const std::int64_t morsel_rows = ctx.options.morsel_rows > 0
+                                       ? ctx.options.morsel_rows
+                                       : relational::kChunkSize;
+  std::int64_t left = 0;
+  ir::VisitIr(&root, [&](const IrNode* node) {
+    if (node->kind != IrOpKind::kTableScan || left >= cap) return;
+    const std::vector<relational::SimplePredicate>* preds =
+        PushedPredicates(*node, ctx);
+    if (auto disk = ctx.catalog->GetDiskTable(node->table_name); disk.ok()) {
+      for (std::int64_t b = 0; b < (*disk)->num_blocks() && left < cap; ++b) {
+        if (preds == nullptr || relational::BlockMayMatch(**disk, b, *preds)) {
+          ++left;
+        }
+      }
+      return;
+    }
+    auto table = ctx.catalog->GetTable(node->table_name);
+    const relational::TableZoneMaps* zones =
+        ctx.catalog->GetZoneMaps(node->table_name);
+    if (!table.ok() || zones == nullptr) {
+      left = cap;  // unknown table: execution reports it
+      return;
+    }
+    const std::int64_t rows = (*table)->num_rows();
+    const relational::ZoneFilter filter =
+        preds != nullptr ? zones->Bind(*preds) : relational::ZoneFilter();
+    for (std::int64_t begin = 0; begin < rows && left < cap;
+         begin += morsel_rows) {
+      if (filter.RangeMayMatch(begin, std::min(rows, begin + morsel_rows))) {
+        ++left;
+      }
+    }
+  });
+  return left;
 }
 
 /// Orchestrates one morsel-parallel execution: owns the shared state the
@@ -685,29 +730,42 @@ Result<Table> PlanExecutor::Execute(const ir::IrPlan& plan,
   }
 
   if (!executed) {
+    const ScanPredicates scan_predicates = CollectScanPredicates(*plan.root());
+    ctx.scan_predicates = &scan_predicates;
     // Morsel-parallel execution covers every in-process plan shape except:
     // LIMIT (an ordered early-out — splitting it across workers changes
     // which rows survive) and opaque pipelines (each worker tree would boot
     // its own external process).
-    const bool parallel =
+    const bool parallel_plan =
         options.parallelism > 1 &&
         (options.mode == ExecutionMode::kInProcess ||
          options.mode == ExecutionMode::kDistributed) &&
         !PlanContains(plan.root(), IrOpKind::kLimit) &&
         !PlanContains(plan.root(), IrOpKind::kOpaquePipeline);
+    // Never more workers than morsels left to hand out after skipping: a
+    // point lookup that keeps one block runs sequentially.
+    const std::int64_t dop =
+        parallel_plan ? std::max<std::int64_t>(
+                            1, MorselsLeft(*plan.root(), ctx,
+                                           options.parallelism))
+                      : 1;
+    const std::string max_dop =
+        parallel_plan && dop < options.parallelism
+            ? " max_dop=" + std::to_string(options.parallelism)
+            : "";
 
-    if (parallel) {
-      MorselExecutor executor(ctx, options.parallelism);
+    if (dop > 1) {
+      MorselExecutor executor(ctx, dop);
       result = executor.Execute(*plan.root());
-      collector.partitions_used.store(options.parallelism);
+      collector.partitions_used.store(dop);
       collector.morsels.store(executor.morsels_dispensed());
-      exec_detail = "mode=parallel dop=" + std::to_string(options.parallelism);
+      exec_detail = "mode=parallel dop=" + std::to_string(dop) + max_dop;
     } else {
       auto root_op = BuildPhysicalPlan(*plan.root(), ctx);
       result = root_op.ok()
                    ? relational::MaterializeAll(root_op.value().get())
                    : Result<Table>(root_op.status());
-      exec_detail = "mode=sequential";
+      exec_detail = "mode=sequential" + max_dop;
     }
   }
   if (stats != nullptr) collector.Finalize(stats);

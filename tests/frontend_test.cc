@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "data/flight.h"
 #include "data/hospital.h"
 #include "frontend/analyzer.h"
@@ -191,6 +193,69 @@ TEST_F(SqlParserTest, LimitAndIn) {
       "SELECT id FROM patient_info WHERE pregnant IN (1) LIMIT 3", catalog_,
       model_builder_)).value();
   EXPECT_EQ(plan.CountKind(ir::IrOpKind::kLimit), 1u);
+}
+
+std::int64_t LimitOf(const ir::IrPlan& plan) {
+  std::int64_t limit = -1;
+  ir::VisitIr(plan.root(), [&](const ir::IrNode* node) {
+    if (node->kind == ir::IrOpKind::kLimit) limit = node->limit;
+  });
+  return limit;
+}
+
+TEST_F(SqlParserTest, HugeLimitSaturatesToInt64Max) {
+  // 9223372036854775807 parses to the double 2^63, one past INT64_MAX;
+  // casting it was undefined behaviour (the query returned no rows).
+  for (const std::string& literal : std::vector<std::string>{
+           "9223372036854775807", "9223372036854775808",
+           "18446744073709551616", "1" + std::string(40, '0')}) {
+    SCOPED_TRACE(literal);
+    auto plan = ParseInferenceQuery(
+        "SELECT id FROM patient_info LIMIT " + literal, catalog_,
+        model_builder_);
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    EXPECT_EQ(LimitOf(*plan), std::numeric_limits<std::int64_t>::max());
+  }
+  // The largest doubles below 2^63 still convert exactly.
+  auto below = ParseInferenceQuery(
+      "SELECT id FROM patient_info LIMIT 9223372036854774784", catalog_,
+      model_builder_);
+  ASSERT_TRUE(below.ok()) << below.status().ToString();
+  EXPECT_EQ(LimitOf(*below), 9223372036854774784LL);
+}
+
+TEST_F(SqlParserTest, NonIntegralOrNegativeLimitIsParseErrorAtToken) {
+  const std::string sql = "SELECT id FROM patient_info LIMIT 2.5";
+  auto fractional = ParseInferenceQuery(sql, catalog_, model_builder_);
+  ASSERT_FALSE(fractional.ok());
+  EXPECT_EQ(fractional.status().code(), StatusCode::kParseError);
+  const std::string message = fractional.status().message();
+  EXPECT_NE(message.find("non-negative integer"), std::string::npos)
+      << message;
+  EXPECT_NE(message.find("'2.5' at byte offset " +
+                         std::to_string(sql.find("2.5"))),
+            std::string::npos)
+      << message;
+
+  auto negative = ParseInferenceQuery("SELECT id FROM patient_info LIMIT -1",
+                                      catalog_, model_builder_);
+  ASSERT_FALSE(negative.ok());
+  EXPECT_EQ(negative.status().code(), StatusCode::kParseError);
+  EXPECT_NE(negative.status().message().find("'-' at byte offset"),
+            std::string::npos)
+      << negative.status().message();
+}
+
+TEST_F(SqlParserTest, EmptyInListIsParseError) {
+  const std::string sql = "SELECT id FROM patient_info WHERE pregnant IN ()";
+  auto result = ParseInferenceQuery(sql, catalog_, model_builder_);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kParseError);
+  EXPECT_NE(result.status().message().find(
+                "IN list expects at least one literal, got ')' at byte "
+                "offset " + std::to_string(sql.find(')'))),
+            std::string::npos)
+      << result.status().message();
 }
 
 TEST_F(SqlParserTest, AggregateSelect) {

@@ -98,7 +98,21 @@ TEST_F(IntegrationTest, GroupedInferenceQueryEndToEnd) {
   ASSERT_EQ(result->table.num_rows(), 2);  // pregnant in {0, 1}
   const auto& means = (*result->table.GetColumn("mean_los"))->data;
   EXPECT_GE(means[0], means[1]);  // ORDER BY 2 DESC
-  EXPECT_EQ(result->execution.partitions_used, 8);
+  // dop = min(parallelism, morsels left to scan): three 3000-row tables
+  // are two 2048-row morsels each.
+  EXPECT_EQ(result->execution.partitions_used, 6);
+}
+
+TEST_F(IntegrationTest, HugeLimitReturnsEveryRowAndFractionalLimitFails) {
+  // LIMIT 2^63-1 returned 0 rows: the parser's double-to-int64 cast of
+  // 2^63 was undefined. It saturates now, as in SQLite.
+  auto all = ctx_.Query(
+      "SELECT id FROM patient_info LIMIT 9223372036854775807");
+  ASSERT_TRUE(all.ok()) << all.status().ToString();
+  EXPECT_EQ(all->table.num_rows(), data_.patient_info.num_rows());
+  auto fractional = ctx_.Query("SELECT id FROM patient_info LIMIT 2.5");
+  ASSERT_FALSE(fractional.ok());
+  EXPECT_EQ(fractional.status().code(), StatusCode::kParseError);
 }
 
 TEST_F(IntegrationTest, ExplainShowsParallelCostRowsForGroupByAndOrderBy) {

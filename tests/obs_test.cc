@@ -386,7 +386,10 @@ TEST_F(ExplainAnalyzeTest, AggregateSurfacesSinkAndRescanAsSeparateSlots) {
   // Parallel execution materializes the grouped aggregate between
   // pipelines; sequential runs keep it in one pass and the rescan slot
   // never exists — the two-slot contract is a parallel-plan property.
+  // The executor never runs more workers than scan morsels, and 600 rows
+  // are a single default-size morsel: shrink morsels to keep it parallel.
   ctx_.execution_options().parallelism = 4;
+  ctx_.execution_options().morsel_rows = 128;
   auto analyzed = ctx_.ExplainAnalyze(
       "SELECT gender, COUNT(*) AS n, AVG(age) AS a FROM patients "
       "GROUP BY gender");

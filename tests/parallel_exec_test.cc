@@ -10,7 +10,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <vector>
 
@@ -18,6 +20,7 @@
 #include "data/hospital.h"
 #include "optimizer/cross_optimizer.h"
 #include "relational/expression.h"
+#include "relational/zone_map.h"
 #include "runtime/plan_executor.h"
 #include "test_util.h"
 
@@ -760,6 +763,236 @@ TEST_F(ParallelExecFixture, ParallelErrorPropagates) {
   options.parallelism = 4;
   auto result = executor.Execute(plan, options);
   EXPECT_FALSE(result.ok());
+}
+
+
+// -- Zone-map skipping on in-memory tables -----------------------------------
+
+/// Byte-for-byte equality, NaN cells included (== would reject them).
+void ExpectTablesByteIdentical(const relational::Table& expected,
+                               const relational::Table& actual) {
+  ASSERT_EQ(expected.ColumnNames(), actual.ColumnNames());
+  ASSERT_EQ(expected.num_rows(), actual.num_rows());
+  for (std::size_t c = 0; c < expected.columns().size(); ++c) {
+    const std::vector<double>& a = expected.columns()[c].data;
+    const std::vector<double>& b = actual.columns()[c].data;
+    EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(double)), 0)
+        << "column " << expected.columns()[c].name;
+  }
+}
+
+/// 10 blocks of kChunkSize rows: `id` ascends (so range/point predicates
+/// skip), `v` cycles (so predicates on it skip nothing), and `x` carries
+/// NaN and ±inf in blocks 1, 2 and 3.
+class InMemorySkipTest : public ::testing::Test {
+ protected:
+  static constexpr std::int64_t kRows = 10 * relational::kChunkSize;
+
+  void SetUp() override {
+    std::vector<double> id, v, x;
+    for (std::int64_t r = 0; r < kRows; ++r) {
+      id.push_back(static_cast<double>(r));
+      v.push_back(static_cast<double>(r % 97) * 1.5);
+      x.push_back(static_cast<double>(r));
+    }
+    x[3000] = std::numeric_limits<double>::quiet_NaN();
+    x[5000] = std::numeric_limits<double>::infinity();
+    x[7000] = -std::numeric_limits<double>::infinity();
+    relational::Table t;
+    ASSERT_TRUE(t.AddNumericColumn("id", std::move(id)).ok());
+    ASSERT_TRUE(t.AddNumericColumn("v", std::move(v)).ok());
+    ASSERT_TRUE(t.AddNumericColumn("x", std::move(x)).ok());
+    ASSERT_TRUE(catalog_.RegisterTable("t", std::move(t)).ok());
+  }
+
+  relational::Table Run(const ir::IrPlan& plan, std::int64_t parallelism,
+                        bool skipping, std::int64_t morsel_rows = 0,
+                        ExecutionStats* stats = nullptr,
+                        obs::Trace* trace = nullptr) {
+    PlanExecutor executor(&catalog_, &cache_);
+    ExecutionOptions options;
+    options.parallelism = parallelism;
+    options.morsel_rows = morsel_rows;
+    options.zone_map_skipping = skipping;
+    options.trace = trace;
+    auto result = executor.Execute(plan, options, stats);
+    if (!result.ok()) {
+      ADD_FAILURE() << result.status().ToString();
+      return relational::Table();
+    }
+    return std::move(result).value();
+  }
+
+  relational::Catalog catalog_;
+  nnrt::SessionCache cache_{4};
+};
+
+TEST_F(InMemorySkipTest, PointLookupScansOneBlockAndMatchesNoSkip) {
+  auto plan = test_util::AnalyzePlan(catalog_,
+                                     "SELECT id, v FROM t WHERE id = 12345");
+  ExecutionStats skipped;
+  relational::Table out = Run(plan, 1, /*skipping=*/true, 0, &skipped);
+  ExecutionStats full;
+  relational::Table reference = Run(plan, 1, /*skipping=*/false, 0, &full);
+  ASSERT_EQ(out.num_rows(), 1);
+  ExpectTablesByteIdentical(reference, out);
+  EXPECT_EQ(skipped.blocks_scanned, 1);
+  EXPECT_EQ(skipped.blocks_skipped, 9);
+  // Skipping off: the scan tests no zone map, so it counts nothing.
+  EXPECT_EQ(full.blocks_scanned + full.blocks_skipped, 0);
+  // EXPLAIN's storage section reads the same pushed-down conjuncts.
+  const std::string storage = DescribeStorageScans(*plan.root(), catalog_);
+  EXPECT_NE(storage.find("Scan(t): in-memory"), std::string::npos)
+      << storage;
+  EXPECT_NE(storage.find("zone-map conjuncts: id = 12345;"),
+            std::string::npos)
+      << storage;
+}
+
+TEST_F(InMemorySkipTest, NonFiniteBlocksAreNeverSkipped) {
+  // x = 100 lives in block 0; blocks 1-3 hold NaN, +inf and -inf, whose
+  // finite min/max would otherwise rule them out.
+  for (const std::string sql : {"SELECT id, x FROM t WHERE x = 100",
+                                "SELECT id, x FROM t WHERE x >= 20000",
+                                "SELECT id, x FROM t WHERE x <> 1"}) {
+    SCOPED_TRACE(sql);
+    auto plan = test_util::AnalyzePlan(catalog_, sql);
+    ExecutionStats stats;
+    relational::Table out = Run(plan, 1, /*skipping=*/true, 0, &stats);
+    ExpectTablesByteIdentical(Run(plan, 1, /*skipping=*/false), out);
+    EXPECT_GE(stats.blocks_scanned, 3);
+    EXPECT_EQ(stats.blocks_scanned + stats.blocks_skipped, 10);
+  }
+  auto point =
+      test_util::AnalyzePlan(catalog_, "SELECT id FROM t WHERE x = 100");
+  ExecutionStats stats;
+  Run(point, 1, /*skipping=*/true, 0, &stats);
+  EXPECT_EQ(stats.blocks_scanned, 4);  // block 0 + the three non-finite
+  EXPECT_EQ(stats.blocks_skipped, 6);
+}
+
+TEST_F(InMemorySkipTest, UnalignedMorselsAndDopMatchNoSkip) {
+  for (const std::string sql :
+       {"SELECT id, v FROM t WHERE id = 4097",
+        "SELECT id, v FROM t WHERE id >= 3000 AND id < 9000",
+        // The first 3000-row morsel matches only in its second block.
+        "SELECT id, v FROM t WHERE id >= 2100 AND id < 6500",
+        "SELECT id, v FROM t WHERE id > 20000",
+        "SELECT id, v FROM t WHERE v < 3",
+        "SELECT COUNT(*) AS n, SUM(v) AS s FROM t WHERE id < 5000"}) {
+    SCOPED_TRACE(sql);
+    auto plan = test_util::AnalyzePlan(catalog_, sql);
+    relational::Table reference = Run(plan, 1, /*skipping=*/false);
+    for (std::int64_t morsel_rows : {0, 256, 3000}) {
+      for (std::int64_t dop : {1, 8}) {
+        SCOPED_TRACE("morsel_rows=" + std::to_string(morsel_rows) +
+                     " dop=" + std::to_string(dop));
+        ExpectTablesByteIdentical(
+            reference, Run(plan, dop, /*skipping=*/true, morsel_rows));
+      }
+    }
+  }
+}
+
+TEST_F(InMemorySkipTest, RangeModePartialScansMatchNoSkip) {
+  // Range-mode scans over unaligned [begin, end) windows: chunks straddle
+  // two blocks, and a chunk is skipped only when both are ruled out.
+  const relational::Table* table = *catalog_.GetTable("t");
+  const relational::TableZoneMaps* zones = catalog_.GetZoneMaps("t");
+  ASSERT_NE(zones, nullptr);
+  const std::vector<relational::SimplePredicate> preds = {
+      {"id", relational::CompareOp::kGe, 4500},
+      {"id", relational::CompareOp::kLt, 5000}};
+  for (const auto& range : std::vector<std::pair<int, int>>{
+           {1000, 7000}, {0, static_cast<int>(kRows)}, {2047, 2049},
+           {4999, 5001}, {6000, 9000}}) {
+    const int begin = range.first;
+    const int end = range.second;
+    SCOPED_TRACE("range [" + std::to_string(begin) + ", " +
+                 std::to_string(end) + ")");
+    auto filtered = [&](bool skip, std::atomic<std::int64_t>* scanned,
+                        std::atomic<std::int64_t>* skipped_blocks) {
+      auto scan = std::make_unique<relational::ScanOperator>(table, begin, end);
+      if (skip) {
+        scan->SetZoneFilter(zones->Bind(preds));
+        scan->SetBlockCounters(scanned, skipped_blocks);
+      }
+      relational::FilterOperator filter(
+          std::move(scan),
+          relational::And(relational::Ge(relational::Col("id"),
+                                         relational::Lit(4500)),
+                          relational::Lt(relational::Col("id"),
+                                         relational::Lit(5000))));
+      return *relational::MaterializeAll(&filter);
+    };
+    std::atomic<std::int64_t> scanned{0}, skipped_blocks{0};
+    relational::Table out = filtered(true, &scanned, &skipped_blocks);
+    ExpectTablesByteIdentical(filtered(false, nullptr, nullptr), out);
+    const std::int64_t chunks =
+        (end - begin + relational::kChunkSize - 1) / relational::kChunkSize;
+    EXPECT_EQ(scanned.load() + skipped_blocks.load(), chunks);
+  }
+}
+
+TEST_F(InMemorySkipTest, PreparedExecuteSkipsOnceParametersAreBound) {
+  // The server's EXECUTE path: an optimized template with `id = ?`, bound
+  // per execution. The template pushes nothing down (a parameter is not a
+  // constant); the bound plan does.
+  auto templ = test_util::AnalyzePlan(catalog_,
+                                      "SELECT id, v FROM t WHERE id = ?");
+  optimizer::CrossOptimizer optimizer(&catalog_,
+                                      optimizer::OptimizerOptions());
+  ASSERT_TRUE(optimizer.Optimize(&templ).ok());
+  EXPECT_TRUE(CollectScanPredicates(*templ.root()).empty());
+  auto bound = ir::BindPlanParameters(*templ.root(), {7777.0});
+  ASSERT_TRUE(bound.ok()) << bound.status().ToString();
+  ir::IrPlan plan(std::move(bound).value());
+  ExecutionStats stats;
+  relational::Table out = Run(plan, 4, /*skipping=*/true, 0, &stats);
+  ASSERT_EQ(out.num_rows(), 1);
+  EXPECT_EQ((*out.GetColumn("id"))->data[0], 7777.0);
+  EXPECT_EQ(stats.blocks_scanned, 1);
+  EXPECT_EQ(stats.blocks_skipped, 9);
+}
+
+TEST_F(InMemorySkipTest, DopIsCappedByMorselsLeftAfterSkipping) {
+  // One block left: sequential, whatever the session dop.
+  auto point =
+      test_util::AnalyzePlan(catalog_, "SELECT id, v FROM t WHERE id = 100");
+  ExecutionStats stats;
+  obs::Trace trace;
+  Run(point, 8, /*skipping=*/true, 0, &stats, &trace);
+  EXPECT_EQ(stats.partitions_used, 1);
+  EXPECT_EQ(stats.morsels, 0);  // took the sequential path
+  bool saw_execute = false;
+  for (const auto& span : trace.Snapshot()) {
+    if (span.name != "execute") continue;
+    saw_execute = true;
+    EXPECT_EQ(span.detail, "mode=sequential max_dop=8");
+  }
+  EXPECT_TRUE(saw_execute);
+
+  // id in [4000, 9000) overlaps blocks 1..4 (rows 2048..10239).
+  auto range = test_util::AnalyzePlan(
+      catalog_, "SELECT id, v FROM t WHERE id >= 4000 AND id < 9000");
+  const std::vector<std::pair<std::int64_t, std::int64_t>> cases = {
+      {0, 4},     // 4 surviving 2048-row morsels
+      {1024, 8},  // 8 surviving 1024-row morsels (blocks 1..4)
+      {3000, 4},  // 3000-row morsels 0..3 each overlap one of blocks 1..4
+  };
+  for (const auto& [morsel_rows, left] : cases) {
+    for (std::int64_t dop : {2, 8}) {
+      SCOPED_TRACE("morsel_rows=" + std::to_string(morsel_rows) +
+                   " dop=" + std::to_string(dop));
+      ExecutionStats range_stats;
+      Run(range, dop, /*skipping=*/true, morsel_rows, &range_stats);
+      EXPECT_EQ(range_stats.partitions_used, std::min(dop, left));
+    }
+  }
+  // Skipping off: every morsel counts as work.
+  ExecutionStats unskipped;
+  Run(range, 8, /*skipping=*/false, 0, &unskipped);
+  EXPECT_EQ(unskipped.partitions_used, 8);
 }
 
 }  // namespace

@@ -611,6 +611,65 @@ TEST_F(QueryFuzzTest, DiskTableDifferential200Queries) {
   for (const auto& path : cleanup) std::remove(path.c_str());
 }
 
+TEST_F(QueryFuzzTest, InMemoryZoneMapSkippingDifferential200Queries) {
+  // The same 200 seeded queries over a twin in-memory catalog whose tables
+  // span several kChunkSize zone-map blocks (the fixture's fit in one or
+  // two). Ids ascend, and the generator draws id literals from the
+  // fixture's smaller range, so `id <op> c` predicates rule out whole
+  // blocks. Skipping off vs on, at dop 1 and 8 with 256-row morsels, must
+  // be byte-identical — row order included — and the corpus must actually
+  // skip, or the leg proves nothing.
+  relational::Catalog big;
+  const data::HospitalDataset hospital = data::MakeHospitalDataset(10000, 11);
+  ASSERT_NO_FATAL_FAILURE(test_util::RegisterHospitalTables(&big, hospital));
+  ASSERT_NO_FATAL_FAILURE(test_util::RegisterFlightTable(
+      &big, data::MakeFlightDataset(7000, 7)));
+  test_util::InsertHospitalTreeModel(&big, hospital_, 5);
+  auto logreg = data::TrainFlightLogreg(flight_, 0.01);
+  ASSERT_TRUE(logreg.ok()) << logreg.status().ToString();
+  ASSERT_TRUE(big.InsertModel("delay", data::FlightLogregScript(),
+                              logreg->ToBytes())
+                  .ok());
+  const std::uint64_t seed = FuzzSeed();
+  Rng rng(seed);
+  frontend::StaticAnalyzer analyzer(&big);
+  optimizer::CrossOptimizer optimizer(&big, optimizer::OptimizerOptions());
+  auto run = [&](const ir::IrPlan& plan, std::int64_t dop, bool skipping,
+                 ExecutionStats* stats) {
+    PlanExecutor executor(&big, &cache_);
+    ExecutionOptions options;
+    options.parallelism = dop;
+    options.morsel_rows = 256;
+    options.zone_map_skipping = skipping;
+    return executor.Execute(plan, options, stats);
+  };
+  std::int64_t blocks_skipped_total = 0;
+  int executed = 0;
+  for (int q = 0; q < kNumQueries; ++q) {
+    bool ordered = false;
+    const std::string sql = GenerateQuery(rng, &ordered);
+    SCOPED_TRACE("seed=" + std::to_string(seed) + " query#" +
+                 std::to_string(q) + " " + sql);
+    auto plan = analyzer.Analyze(sql);
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    ASSERT_TRUE(optimizer.Optimize(&plan.value()).ok());
+    for (std::int64_t dop : {1, 8}) {
+      SCOPED_TRACE("parallelism=" + std::to_string(dop));
+      auto full = run(*plan, dop, /*skipping=*/false, nullptr);
+      ASSERT_TRUE(full.ok()) << full.status().ToString();
+      ExecutionStats stats;
+      auto skipped = run(*plan, dop, /*skipping=*/true, &stats);
+      ASSERT_TRUE(skipped.ok()) << skipped.status().ToString();
+      ASSERT_NO_FATAL_FAILURE(
+          ExpectTablesMatch(*full, *skipped, /*ordered=*/true));
+      blocks_skipped_total += stats.blocks_skipped;
+    }
+    ++executed;
+  }
+  EXPECT_EQ(executed, kNumQueries);
+  EXPECT_GT(blocks_skipped_total, 0);
+}
+
 TEST_F(QueryFuzzTest, DiskSelectiveScanSkipsBlocksAndExplains) {
   // End-to-end through the RavenContext facade: a selective predicate over
   // the sequential id column must actually skip blocks (non-vacuous zone

@@ -176,6 +176,16 @@ TEST(OperatorTest, FilterProjectLimit) {
   EXPECT_EQ((*out.GetColumn("v100"))->data[0], 108.0);  // first v>7 is 8
 }
 
+TEST(OperatorTest, LimitAtInt64MaxKeepsEveryRow) {
+  // `emitted + n > limit` overflowed once rows had been emitted under a
+  // saturated LIMIT; the subtraction form cannot.
+  Table t = MakeTable(5000);
+  LimitOperator limit(std::make_unique<ScanOperator>(&t),
+                      std::numeric_limits<std::int64_t>::max());
+  Table out = *MaterializeAll(&limit);
+  EXPECT_EQ(out.num_rows(), 5000);
+}
+
 TEST(OperatorTest, HashJoin) {
   Table left;
   (void)left.AddNumericColumn("id", {0, 1, 2, 3});

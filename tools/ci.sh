@@ -4,6 +4,8 @@
 #
 #   tools/ci.sh            # tier-1: build + all tests (and build the benches)
 #   tools/ci.sh asan       # tier-1 under -fsanitize=address,undefined
+#                          # (+ float-cast-overflow, which GCC's
+#                          # `undefined` group leaves out)
 #   tools/ci.sh tsan       # runtime/integration suites under ThreadSanitizer
 #                          # (the morsel-parallel executor's race gate)
 #   tools/ci.sh docs       # docs-consistency gate alone (links, knob/stats
@@ -208,6 +210,9 @@ tier1() {
 }
 
 asan() {
+  # The `undefined` flavor adds -fsanitize=float-cast-overflow
+  # (CMakeLists.txt): GCC's -fsanitize=undefined omits it, and it is what
+  # catches an out-of-range double-to-int64 cast such as LIMIT 2^63.
   CONFIG_ARGS=(-DRAVEN_SANITIZE=address,undefined)
   run_suite build-asan
 }
